@@ -13,7 +13,8 @@ export FAULT_SEED
 
 ## tier-1 verify: static SPMD lint first (cheapest signal), the metadb
 ## subset next, then everything else, then the property harnesses again
-## under the runtime collective sanitizer, then the crash-recovery tier
+## under the runtime collective sanitizer, then the crash-recovery tier,
+## then the kernel's virtual-identity guard
 test: lint test-metadb
 	$(PYTHON) -m pytest -x -q --ignore=tests/metadb \
 	    --ignore=tests/properties/test_metadb_index_property.py \
@@ -21,6 +22,7 @@ test: lint test-metadb
 	    --ignore=tests/properties/test_fault_property.py
 	$(MAKE) verify-collectives
 	$(MAKE) test-faults
+	$(PYTHON) benchmarks/perfcheck_kernel.py
 
 ## crash tolerance: kernel fault injection, recovery-protocol unit
 ## tests, cross-job crash/restart scenarios, the crash-at-every-point
@@ -95,10 +97,12 @@ bench-policy:
 ## exceeds READ_GAP_MAX (1.3x) of canonical at 4/8 ranks, the chunked
 ## read's submitted run count regresses toward O(elements), or an
 ## adaptive policy falls below ADAPTIVE_WIN_MIN (1.0x) of its best
-## static setting
+## static setting; also fails if the simulator kernel moves any recorded
+## virtual result (elapsed, phase maxima, events, statements)
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck_datapath.py BENCH_datapath.json
 	$(PYTHON) benchmarks/perfcheck_policy.py BENCH_policy.json
+	$(PYTHON) benchmarks/perfcheck_kernel.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits

@@ -936,11 +936,10 @@ class SDMTables:
         :meth:`commit_flip` turns it ``published``, a recovering lease
         stealer treats every row version touched at this epoch as
         uncommitted and rolls the flip back.  Rollback is keyed on the
-        epoch number alone, so unlike the old ``publish_epoch`` the
-        allocation is insert-then-verify: a number shared with a
-        concurrent other-file flip (same-file flips are serialized by the
-        lease) is withdrawn and retried — recovery must never confuse two
-        flips' row versions.
+        epoch number alone, so the allocation is insert-then-verify: a
+        number shared with a concurrent other-file flip (same-file flips
+        are serialized by the lease) is withdrawn and retried — recovery
+        must never confuse two flips' row versions.
         """
         while True:
             epoch = self.current_epoch(proc) + 1
@@ -987,17 +986,6 @@ class SDMTables:
                 f"({file_name!r}, epoch {epoch}); the flip was rolled "
                 "back by recovery under a stolen lease"
             )
-
-    def publish_epoch(
-        self, file_name: str, proc: Optional[Process] = None
-    ) -> int:
-        """One-shot :meth:`begin_flip` + :meth:`commit_flip` for callers
-        with no crash window between allocation and publish (tests,
-        single-statement bumps).  The flip protocols proper journal the
-        two halves around their row-version writes."""
-        epoch = self.begin_flip(file_name, proc)
-        self.commit_flip(file_name, epoch, proc)
-        return epoch
 
     def flip_intent(
         self, file_name: str, proc: Optional[Process] = None
@@ -1368,18 +1356,6 @@ class SDMTables:
             (epoch, pin_id),
             proc=proc,
         )
-
-    def min_pinned_epoch(
-        self, proc: Optional[Process] = None
-    ) -> Optional[int]:
-        """Oldest pinned epoch, or None when unpinned.  No longer the
-        reap floor — :meth:`reap_file` tests each dead version's validity
-        interval against the individual pinned epochs — but still a
-        useful summary statistic."""
-        rows = self.db.execute(
-            "SELECT MIN(epoch) FROM pin_table", proc=proc
-        )
-        return None if rows[0][0] is None else int(rows[0][0])
 
     def pin_count(self, proc: Optional[Process] = None) -> int:
         """Outstanding pins (quiesced-compaction precondition)."""

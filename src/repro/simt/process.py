@@ -1,13 +1,11 @@
 """Simulated processes backed by OS threads.
 
-The kernel's central invariant: **at most one thread runs at a time** — either
-the scheduler (inside :meth:`Simulator.run`) or exactly one process thread.
-Control transfer is a pair of :class:`threading.Event` handshakes:
-
-* scheduler → process: the scheduler sets ``proc._resume`` and then blocks on
-  the simulator's ``_sched_wake`` event;
-* process → scheduler: the process sets ``_sched_wake`` and blocks on its own
-  ``_resume`` (:meth:`Process._park`).
+The kernel's central invariant: **at most one thread runs at a time** — one
+process, or the thread inside :meth:`Simulator.run`.  Each process owns a
+baton, a :class:`threading.Lock` held locked while it lacks control.  A
+process that parks (or exits) runs the event loop itself, on its own thread,
+then releases the baton of the process resumed next and blocks acquiring its
+own: one lock hand-off per switch, none when its own resume is next.
 
 Because of this invariant, simulation code can freely mutate shared Python
 objects (mailboxes, database tables, file-system state) without locks, and
@@ -86,14 +84,14 @@ class Process:
         self.name = name
         self.daemon = daemon
         self.alive = True
-        self.started = False
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.crashed = False
         self.crash_point: Optional[str] = None
         self.wait_reason: str = "start"
         self._wake_value: Any = None
-        self._resume = threading.Event()
+        self._baton = threading.Lock()
+        self._baton.acquire()
         self._thread = threading.Thread(
             target=self._bootstrap,
             args=(fn, args, kwargs),
@@ -151,11 +149,7 @@ class Process:
     def _bootstrap(self, fn: Callable[..., Any], args: tuple, kwargs: dict) -> None:
         """Thread body: wait for the first resume, run ``fn``, sign off."""
         try:
-            # Initial handshake: control is NOT with this thread yet, so wait
-            # for the scheduler without signalling it.
-            self._resume.wait()
-            self._resume.clear()
-            self.started = True
+            self._baton.acquire()
             if self.sim._aborting:
                 raise Killed()
             self.result = fn(self, *args, **kwargs)
@@ -171,11 +165,11 @@ class Process:
         finally:
             self.alive = False
             self.sim._on_process_exit(self)
-            # Hand control back for the last time; this thread then dies.
-            self.sim._signal_scheduler()
+            # Hand control on for the last time; this thread then dies.
+            self.sim._switch(self)
 
     def _park(self, reason: str) -> Any:
-        """Yield control to the scheduler and block until resumed."""
+        """Give up control and block until resumed."""
         if self._thread is not threading.current_thread():
             raise RuntimeError(
                 f"process {self.name!r} parked from foreign thread "
@@ -188,9 +182,7 @@ class Process:
             # hold, or rendezvous: the dead process is gone.
             raise Crashed(f"crashed process {self.name!r} cannot park")
         self.wait_reason = reason
-        self.sim._signal_scheduler()
-        self._resume.wait()
-        self._resume.clear()
+        self.sim._switch(self)
         if self.sim._aborting:
             raise Killed()
         value, self._wake_value = self._wake_value, None

@@ -7,14 +7,19 @@ deterministic.  Two event kinds exist:
 
 * ``resume`` — transfer control to a parked :class:`Process` (optionally
   passing it a wake value);
-* ``call`` — run a plain callback on the scheduler thread.  Callbacks must
-  not block; they are used for timed actions that do not belong to any
-  process, such as a message arriving in a mailbox.
+* ``call`` — run a plain callback inline.  Callbacks must not park; they
+  are used for timed actions that do not belong to any process, such as a
+  message arriving in a mailbox.
+
+There is no scheduler thread: the loop runs on whichever thread gives up
+control (see :mod:`repro.simt.process`).  When it has nothing left to do it
+wakes the :meth:`~Simulator.run` caller, which reports the outcome.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -110,13 +115,14 @@ class Simulator:
         self._queue: List[Tuple[float, int, int, Any, Any]] = []
         self._seq = 0
         self._procs: List[Process] = []
-        self._running: Optional[Process] = None
+        self._live = 0  # live non-daemon processes
+        self._until: Optional[float] = None
+        self._error: Optional[BaseException] = None  # raised by a callback
         self._aborting = False
         self._crashed: Optional[Process] = None
         self._finished = False
-        import threading
-
-        self._sched_wake = threading.Event()
+        self._baton = threading.Lock()  # run() blocks on it while procs run
+        self._baton.acquire()
 
     # ------------------------------------------------------------------
     # Spawning and scheduling
@@ -142,6 +148,7 @@ class Simulator:
             name = f"proc{len(self._procs)}"
         proc = Process(self, fn, args, kwargs, name=name, daemon=daemon)
         self._procs.append(proc)
+        self._live += not daemon
         proc._thread.start()
         self.schedule_resume(proc, delay=delay)
         return proc
@@ -157,16 +164,19 @@ class Simulator:
         self._push(self.now + delay, _RESUME, proc, value)
 
     def call_at(self, t: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` on the scheduler thread at absolute time ``t``.
+        """Run ``fn()`` at absolute time ``t``.
 
-        ``fn`` must not block; it may schedule further events.
+        ``fn`` runs on whichever thread holds control when its event is
+        popped — never concurrently with a process.  It must not park; it
+        may schedule further events.  An exception it raises ends the run
+        and is re-raised from :meth:`run`.
         """
         if t < self.now:
             raise ValueError(f"call_at into the past: {t!r} < now={self.now!r}")
         self._push(t, _CALL, fn, None)
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` on the scheduler thread ``delay`` seconds from now."""
+        """Run ``fn()`` ``delay`` seconds from now (see :meth:`call_at`)."""
         self.call_at(self.now + delay, fn)
 
     def _push(self, t: float, kind: int, payload: Any, value: Any) -> None:
@@ -183,108 +193,121 @@ class Simulator:
         Returns the final virtual time.  Raises
         :class:`~repro.errors.SimProcessCrashed` if any process raised, and
         :class:`~repro.errors.SimDeadlockError` if live processes remain but
-        no event can ever wake them.
+        no event can ever wake them.  An exception raised by a ``call``
+        callback propagates unchanged.
         """
         if self._finished:
             raise SimError("simulation already finished")
-        while True:
-            if self._crashed is not None:
-                self._drain()
-                crashed = self._crashed
-                self._finished = True
-                raise SimProcessCrashed(
-                    f"process {crashed.name!r} raised "
-                    f"{type(crashed.error).__name__}: {crashed.error}"
-                ) from crashed.error
+        self._until = until
+        self._switch(None)
+        failed = self._error is not None or self._crashed is not None
+        if not failed and self._queue and (
+            self._live or not self._only_daemon_events()
+        ):
+            return self.now  # paused at ``until``
+        if not failed and self._live:
             live = [p for p in self._procs if p.alive and not p.daemon]
-            if not self._queue:
-                if live:
-                    report = ", ".join(f"{p.name}[{p.wait_reason}]" for p in live)
-                    # Reporters read live state (e.g. the verifier's
-                    # pending-op map) — consult them before _drain kills
-                    # the blocked processes.
-                    extra = ""
-                    for reporter in self.deadlock_reporters:
-                        try:
-                            extra += "\n  " + reporter()
-                        except Exception:  # pragma: no cover - diagnostics
-                            pass
-                    crashed = [p for p in self._procs if p.crashed]
-                    self._drain()
-                    self._finished = True
-                    if crashed:
-                        # Not a deadlock of the survivors' own making:
-                        # they are rendezvousing with fault-killed peers.
-                        # Attribute the stall so the sanitizer's report
-                        # reads as "participant lost", not "hung".
-                        dead = ", ".join(
-                            f"{p.name}[{p.crash_point}]" for p in crashed
-                        )
-                        raise SimParticipantLost(
-                            f"{len(crashed)} process(es) lost to injected "
-                            f"faults ({dead}); {len(live)} surviving "
-                            f"process(es) blocked on them: {report}{extra}"
-                        )
-                    raise SimDeadlockError(
-                        f"no events pending but {len(live)} process(es) "
-                        f"blocked: {report}{extra}"
-                    )
-                break
-            if not live and all(
-                not (p.alive and not p.daemon) for p in self._procs
-            ) and self._only_daemon_events():
+            report = ", ".join(f"{p.name}[{p.wait_reason}]" for p in live)
+            # Reporters read live state (e.g. the verifier's pending-op
+            # map) — consult them before _drain kills the blocked processes.
+            extra = ""
+            for reporter in self.deadlock_reporters:
+                try:
+                    extra += "\n  " + reporter()
+                except Exception:  # pragma: no cover - diagnostics
+                    pass
+            crashed = [p for p in self._procs if p.crashed]
+            self._drain()
+            self._finished = True
+            if crashed:
+                # Not a deadlock of the survivors' own making: they are
+                # rendezvousing with fault-killed peers.  Attribute the
+                # stall so the sanitizer's report reads as "participant
+                # lost", not "hung".
+                dead = ", ".join(f"{p.name}[{p.crash_point}]" for p in crashed)
+                raise SimParticipantLost(
+                    f"{len(crashed)} process(es) lost to injected "
+                    f"faults ({dead}); {len(live)} surviving "
+                    f"process(es) blocked on them: {report}{extra}"
+                )
+            raise SimDeadlockError(
+                f"no events pending but {len(live)} process(es) "
+                f"blocked: {report}{extra}"
+            )
+        self._drain()
+        self._finished = True
+        if self._error is not None:
+            raise self._error
+        crashed = self._crashed
+        if crashed is not None:
+            raise SimProcessCrashed(
+                f"process {crashed.name!r} raised "
+                f"{type(crashed.error).__name__}: {crashed.error}"
+            ) from crashed.error
+        return self.now
+
+    def _next(self) -> Optional[Process]:
+        """Pop events, running callbacks inline, until one resumes a live
+        process; return it with its wake value set.  Returns None when the
+        run must stop (see :meth:`run` for the reasons)."""
+        if self._crashed is not None:
+            return None
+        queue, until = self._queue, self._until
+        while queue:
+            if not self._live and self._only_daemon_events():
                 # All real work done; don't let daemons spin forever.
-                break
-            t, _seq, kind, payload, value = heapq.heappop(self._queue)
+                return None
+            t, _seq, kind, payload, value = heapq.heappop(queue)
             if until is not None and t > until:
                 # Leave the event for a later run() call.
                 self._push(t, kind, payload, value)
                 self.now = until
-                return self.now
-            self.now = max(self.now, t)
+                return None
+            if t > self.now:
+                self.now = t
             if kind == _CALL:
-                payload()
+                try:
+                    payload()
+                except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                    self._error = exc
+                    return None
                 continue
-            proc: Process = payload
-            if not proc.alive:
-                continue
-            proc._wake_value = value
-            self._running = proc
-            proc._resume.set()
-            self._sched_wake.wait()
-            self._sched_wake.clear()
-            self._running = None
-        self._drain()
-        self._finished = True
-        return self.now
+            if payload.alive:
+                payload._wake_value = value
+                return payload
+        return None
+
+    def _switch(self, me: Optional[Process]) -> None:
+        """Give up control on behalf of ``me`` (None: the ``run`` caller):
+        run the loop, pass the baton on, and unless ``me`` has exited,
+        return once it holds the baton again."""
+        nxt = None if self._aborting else self._next()
+        if nxt is me:
+            return
+        (nxt or self)._baton.release()
+        if me is None or me.alive:
+            (me or self)._baton.acquire()
 
     def _only_daemon_events(self) -> bool:
-        """True if every queued resume targets a daemon process."""
-        for _t, _seq, kind, payload, _value in self._queue:
-            if kind == _CALL:
-                return False
-            if not payload.daemon:
-                return False
-        return True
+        """True if every queued event resumes a daemon process."""
+        return all(kind == _RESUME and payload.daemon
+                   for _t, _seq, kind, payload, _value in self._queue)
 
     def _drain(self) -> None:
         """Kill all still-alive processes so their threads exit cleanly."""
         self._aborting = True
         for proc in self._procs:
             while proc.alive:
-                proc._resume.set()
-                self._sched_wake.wait()
-                self._sched_wake.clear()
+                proc._baton.release()
+                self._baton.acquire()
         self._queue.clear()
 
     # ------------------------------------------------------------------
     # Kernel internals (called from process threads)
     # ------------------------------------------------------------------
 
-    def _signal_scheduler(self) -> None:
-        self._sched_wake.set()
-
     def _on_process_exit(self, proc: Process) -> None:
+        self._live -= not proc.daemon
         if proc.error is not None and not self._aborting:
             self._crashed = proc
 

@@ -1,9 +1,19 @@
-"""Unit tests for the discrete-event kernel: clock, processes, determinism."""
+"""Unit tests for the discrete-event kernel: clock, processes, determinism,
+the one-runner invariant and process-thread lifetimes."""
+
+import hashlib
+import sys
+import threading
 
 import pytest
 
-from repro.errors import SimDeadlockError, SimError, SimProcessCrashed
-from repro.simt import Simulator
+from repro.errors import (
+    SimDeadlockError,
+    SimError,
+    SimParticipantLost,
+    SimProcessCrashed,
+)
+from repro.simt import Channel, FaultPlan, Resource, Signal, SimEvent, Simulator
 
 
 def test_single_process_runs_and_returns_result():
@@ -238,3 +248,195 @@ def test_many_processes_determinism():
     log2, t2 = one_run()
     assert log1 == log2
     assert t1 == t2
+
+
+# ----------------------------------------------------------------------
+# One-runner invariant and thread lifetimes
+# ----------------------------------------------------------------------
+
+STRESS_PROCS = 64
+STRESS_STEPS = 6
+# Recorded with the thread-handshake kernel this one replaced: the
+# hand-off mechanism may change, the event order may not.
+STRESS_GOLDEN = {
+    "updates": 930,
+    "log_len": 460,
+    "now": 0.44999999999999996,
+    "events": 675,
+    "log_sha256": "85b5f7240b8a60377581016fc8259c77c6ab334e4d16bbe97ce0c253cdf94b97",
+}
+
+
+def _assert_threads_exited(sim):
+    for proc in sim._procs:
+        proc._thread.join(timeout=5)
+        assert not proc._thread.is_alive(), proc.name
+
+
+def _stress_run():
+    """64 processes (more than there are cores) doing unguarded
+    read-modify-writes of one counter amid hold(0), Signal, Resource,
+    Channel and call_at traffic.  Returns the counter, the number of
+    updates attempted, the ``(now, name, step)`` log and the simulator."""
+    sim = Simulator()
+    counter = [0]
+    bumps = []
+    log = []
+    done = [False]
+    signal = Signal(sim, "tick")
+    res = Resource(sim, 3, "ctl")
+    chan = Channel(sim, "pipe")
+
+    def bump():
+        v = counter[0]
+        acc = 0
+        for k in range(1000):  # bytecode between the read and the write
+            acc += k * k
+        counter[0] = v + 1 + acc - acc
+        bumps.append(1)  # list.append is atomic: the reference count
+
+    def callback():
+        bump()
+        log.append((sim.now, "cb", counter[0]))
+
+    def firer(proc):
+        while signal.n_waiting or not done[0]:
+            proc.hold(0.05)
+            bump()
+            signal.fire()
+
+    def worker(proc, idx):
+        for step in range(STRESS_STEPS):
+            bump()
+            kind = (idx + step) % 5
+            if kind == 0:
+                proc.hold(0.0)
+            elif kind == 1:
+                signal.wait(proc)
+            elif kind == 2:
+                with res.request(proc):
+                    bump()
+                    proc.hold(0.01 * (idx % 4))
+            elif kind == 3:
+                chan.put(idx, delay=0.003 * (idx % 7))
+                chan.get(proc)
+            else:
+                sim.call_at(proc.now + 0.002 * (idx % 3), callback)
+                proc.hold(0.004)
+            bump()
+            log.append((proc.now, proc.name, step))
+
+    def supervisor(proc, workers):
+        for w in workers:
+            while w.alive:
+                proc.hold(0.1)
+        done[0] = True
+
+    workers = [sim.spawn(worker, i, name=f"w{i}") for i in range(STRESS_PROCS)]
+    sim.spawn(firer, name="firer")
+    sim.spawn(supervisor, workers, name="sup")
+    sim.run()
+    return counter[0], len(bumps), log, sim
+
+
+def test_one_runner_stress_loses_no_updates_and_matches_golden_order():
+    out = []
+    runner = threading.Thread(target=lambda: out.append(_stress_run()),
+                              daemon=True)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # preempt threads as often as possible
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive(), "kernel hung"
+    count, attempted, log, sim = out[0]
+    assert count == attempted == STRESS_GOLDEN["updates"]
+    assert len(log) == STRESS_GOLDEN["log_len"]
+    assert sim.now == STRESS_GOLDEN["now"]
+    assert sim._seq == STRESS_GOLDEN["events"]
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert digest == STRESS_GOLDEN["log_sha256"]
+    _assert_threads_exited(sim)
+
+
+def _ticker(proc):
+    while True:
+        proc.hold(1.0)
+
+
+def test_threads_exit_after_normal_completion():
+    sim = Simulator()
+    sim.spawn(lambda proc: proc.hold(2.0))
+    sim.spawn(_ticker, daemon=True)
+    sim.spawn(lambda proc: proc.park("never"), daemon=True)
+    sim.run()
+    _assert_threads_exited(sim)
+
+
+def test_threads_exit_after_process_exception():
+    def bad(proc):
+        proc.hold(1.0)
+        raise ValueError("boom")
+
+    sim = Simulator()
+    sim.spawn(bad)
+    sim.spawn(lambda proc: proc.hold(5.0))
+    sim.spawn(lambda proc: proc.hold(3.0), delay=2.0)  # never started
+    with pytest.raises(SimProcessCrashed):
+        sim.run()
+    _assert_threads_exited(sim)
+
+
+def test_threads_exit_after_deadlock():
+    sim = Simulator()
+    sim.spawn(lambda proc: proc.park("stuck"))
+    sim.spawn(lambda proc: proc.park("idle"), daemon=True)
+    with pytest.raises(SimDeadlockError):
+        sim.run()
+    _assert_threads_exited(sim)
+
+
+def test_threads_exit_after_run_until_then_run():
+    sim = Simulator()
+    sim.spawn(lambda proc: proc.hold(10.0))
+    sim.spawn(_ticker, daemon=True)
+    assert sim.run(until=4.0) == 4.0
+    assert sim.run() == 10.0
+    _assert_threads_exited(sim)
+
+
+def test_threads_exit_after_fault_crash_loses_participant():
+    def victim(proc, ev):
+        proc.fault_point("boom")
+        ev.set()
+
+    sim = Simulator()
+    sim.fault_plan = FaultPlan("boom", victim="v")
+    ev = SimEvent(sim)
+    sim.spawn(victim, ev, name="v")
+    sim.spawn(lambda proc: ev.wait(proc), name="w")
+    with pytest.raises(SimParticipantLost):
+        sim.run()
+    _assert_threads_exited(sim)
+
+
+def test_raising_callback_surfaces_with_its_own_type():
+    def fail():
+        raise KeyError("from callback")
+
+    sim = Simulator()
+    sim.spawn(lambda proc: proc.hold(5.0))
+    # Popped on the process's thread: the process parked in hold(0.5).
+    sim.spawn(lambda proc: (proc.hold(0.5), sim.call_after(0.5, fail)))
+    with pytest.raises(KeyError, match="from callback"):
+        sim.run()
+    _assert_threads_exited(sim)
+
+    sim = Simulator()
+    sim.call_at(1.0, fail)  # popped on the thread that called run()
+    sim.spawn(lambda proc: proc.hold(2.0))
+    with pytest.raises(KeyError):
+        sim.run()
+    _assert_threads_exited(sim)
