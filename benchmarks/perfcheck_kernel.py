@@ -16,6 +16,12 @@ database statements issued (``db.n_statements``).  When a deliberate
 model change moves them, the failure message prints the new values to
 record here.
 
+A second, separate check pins each job's real thread switches
+(``sim.n_handoffs``, recorded with the continuation kernel, where a
+file-system request switches threads once however many controllers it
+visits).  It is deterministic, so a change that quietly brings back
+per-visit switches fails here, not only as a slower host clock.
+
 Run directly (no JSON input; the jobs take seconds)::
 
     python benchmarks/perfcheck_kernel.py
@@ -55,6 +61,10 @@ EXPECTED = {
     },
 }
 
+HANDOFFS = {"chunked": 332, "fun3d-l3": 4478}
+"""Real thread switches per job (the thread-per-visit kernel made 356
+and 10125)."""
+
 
 def fingerprint(job):
     """The job's virtual results: elapsed, phase maxima, events, statements."""
@@ -87,18 +97,26 @@ def fun3d_job():
 def main() -> int:
     failures = []
     for name, job in (("chunked", chunked_job), ("fun3d-l3", fun3d_job)):
-        got = fingerprint(job())
+        ran = job()
+        got = fingerprint(ran)
         want = EXPECTED[name]
         for key, value in got.items():
             status = "ok" if value == want.get(key) else "FAIL"
             print(f"perfcheck: {name} {key} = {value!r} {status}")
         if got != want:
             failures.append(f"{name}: virtual results moved; measured {got!r}")
+        handoffs = ran.sim.n_handoffs
+        status = "ok" if handoffs == HANDOFFS[name] else "FAIL"
+        print(f"perfcheck: {name} handoffs = {handoffs} {status}")
+        if handoffs != HANDOFFS[name]:
+            failures.append(f"{name}: {handoffs} thread switches, "
+                            f"recorded {HANDOFFS[name]}")
     if failures:
         for f in failures:
             print(f"perfcheck: FAIL {f}", file=sys.stderr)
         return 1
-    print("perfcheck: kernel reproduces every recorded virtual result")
+    print("perfcheck: kernel reproduces every recorded virtual result "
+          "and thread-switch count")
     return 0
 
 

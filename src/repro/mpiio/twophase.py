@@ -281,7 +281,6 @@ def collective_read(
             gathered = scratch[idx]  # all requested bytes, src-rank order
             proc.hold(fs.machine.compute.copy_time(len(gathered)))
             # Split back per source rank.
-            seg_first = np.cumsum(seg_len) - seg_len
             piece_idx = 0
             byte_pos = 0
             for src in range(comm.size):
@@ -292,7 +291,6 @@ def collective_read(
                 replies[src] = gathered[byte_pos : byte_pos + nb]
                 piece_idx += n_pieces
                 byte_pos += nb
-            del seg_first
     back = comm.alltoallv(replies)
 
     out = np.empty(total_local, dtype=np.uint8)

@@ -39,6 +39,9 @@ __all__ = ["FileSystem"]
 _METADATA_SERVER_WAYS = 2
 """Concurrent metadata operations the MDS can service."""
 
+# Where a request's controller walk stands (FileSystem._serve).
+_CLAIM, _QUEUED, _HOLDING = "claim", "queued", "holding"
+
 
 class FileSystem:
     """Shared parallel-file-system service for one simulated machine."""
@@ -47,11 +50,12 @@ class FileSystem:
         self.sim = sim
         self.machine = machine
         self._files: Dict[str, PFSFile] = {}
-        # One stream slot per I/O controller: a request queues at the
-        # controller serving its first byte, so requests landing on
-        # distinct controllers proceed concurrently while same-controller
-        # requests serialize — the contention the striping-aware run
-        # scheduler (repro.pfs.scheduler) exists to spread.
+        # One stream slot per I/O controller: a scheduled request queues
+        # at the controller its caller picked, an unscheduled one at each
+        # controller its stripes land on in turn (see _serve), so streams
+        # on distinct controllers proceed concurrently while
+        # same-controller streams serialize — the contention the
+        # striping-aware run scheduler (repro.pfs.scheduler) spreads.
         self.controllers = [
             Resource(sim, capacity=1, name=f"pfs-ctl{i}")
             for i in range(machine.storage.n_controllers)
@@ -230,37 +234,73 @@ class FileSystem:
         rank of an independent-I/O phase would queue at controller 0 —
         aligned region starts all map there — and aggregate bandwidth
         would collapse to a single stream's.
+
+        Both kinds are one walk over ``(controller, seconds)`` visits,
+        driven as a continuation (:meth:`Process.park_with`): each visit
+        claims its controller, holds it, releases it — the same kernel
+        calls, in the same order, a thread would make — but the process
+        switches threads once per request, not once per queue and hold.
         """
         storage = self.machine.storage
+        sim, ctls = self.sim, self.controllers
+        runs = len(offsets)
         if controller is not None:
-            ctl = controller % len(self.controllers)
-            service = storage.stream_time(nbytes, write=write, runs=len(offsets))
-            with self.controllers[ctl].request(proc):
-                proc.hold(service)
-            return ctl, 1
-        proc.hold(storage.stream_time(0, write=write, runs=len(offsets)))
-        _, plen, pctl = split_runs_by_stripe(
-            handle.file.layout, offsets, lengths
-        )
-        if len(pctl) == 0:
-            return 0, 0
-        bw = (
-            storage.stream_write_bandwidth if write
-            else storage.stream_read_bandwidth
-        )
-        # One hold per controller *visit* (consecutive pieces on the same
-        # controller collapse), so the walk length is the stripe count,
-        # not the run count.
-        new = np.empty(len(pctl), dtype=bool)
-        new[0] = True
-        np.not_equal(pctl[1:], pctl[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        visit_bytes = np.add.reduceat(plen, starts)
-        visit_ctl = pctl[starts]
-        for ctl, vbytes in zip(visit_ctl.tolist(), visit_bytes.tolist()):
-            with self.controllers[ctl].request(proc):
-                proc.hold(float(vbytes) / bw)
-        return int(visit_ctl[0]), len(np.unique(visit_ctl))
+            ctl = controller % len(ctls)
+            visit_ctl = [ctl]
+            visit_s = [storage.stream_time(nbytes, write=write, runs=runs)]
+        else:
+            overhead = storage.stream_time(0, write=write, runs=runs)
+            _, plen, pctl = split_runs_by_stripe(
+                handle.file.layout, offsets, lengths
+            )
+            if len(pctl) == 0:
+                proc.hold(overhead)
+                return 0, 0
+            bw = (
+                storage.stream_write_bandwidth if write
+                else storage.stream_read_bandwidth
+            )
+            # One visit per run of consecutive pieces on the same
+            # controller, so the walk length is the stripe count, not the
+            # run count.
+            new = np.empty(len(pctl), dtype=bool)
+            new[0] = True
+            np.not_equal(pctl[1:], pctl[:-1], out=new[1:])
+            starts = np.flatnonzero(new)
+            visit_ctl = pctl[starts].tolist()
+            visit_s = (np.add.reduceat(plen, starts) / bw).tolist()
+            sim.schedule_resume(proc, delay=overhead)
+        n = len(visit_ctl)
+        i = 0
+        state = _CLAIM
+
+        def step(_value) -> bool:
+            # Each call is one resume of the thread model: after the
+            # overhead (claim), a grant (hold) or a finished hold (release,
+            # then claim the next visit).
+            nonlocal i, state
+            if state is _HOLDING:
+                ctls[visit_ctl[i]].release()
+                i += 1
+                if i == n:
+                    return True
+                state = _CLAIM
+            if state is _CLAIM and not ctls[visit_ctl[i]].claim(proc):
+                state = _QUEUED
+                return False
+            sim.schedule_resume(proc, delay=visit_s[i])
+            state = _HOLDING
+            return False
+
+        if controller is not None:
+            step(None)  # the claim happens now, not after an overhead
+        try:
+            proc.park_with(step, "pfs.write" if write else "pfs.read")
+        except BaseException:
+            if state is _HOLDING:  # unwinding (killed or crashed) mid-visit
+                ctls[visit_ctl[i]].release()
+            raise
+        return visit_ctl[0], len(set(visit_ctl))
 
     def write(
         self, proc: Process, handle: PFSHandle, offsets, lengths, data,
@@ -268,10 +308,11 @@ class FileSystem:
     ) -> int:
         """One write request over a run list; returns bytes written.
 
-        Holds one controller stream for the modelled service time, then
-        lands the real bytes.  ``data`` is contiguous and must match the
-        run total.  The request queues at the controller serving its first
-        byte unless the caller (the striping-aware scheduler) picked one.
+        Charges the modelled controller service time, then lands the real
+        bytes.  ``data`` is contiguous and must match the run total.  With
+        ``controller`` (the striping-aware scheduler's pick) the request
+        holds that one controller for its whole stream time; without, it
+        walks the controllers its stripes land on, in file order.
         """
         handle.check_writable()
         offsets = np.atleast_1d(np.asarray(offsets, dtype=np.int64))

@@ -1,19 +1,19 @@
 """Striping-aware run scheduling: batch file requests per controller.
 
-The file system queues each request at one controller (the one serving
-its first byte), so a naive aggregator walking its file domain in offset
-order issues every multi-stripe request across controller boundaries and
-the batches of different aggregators pile onto the same controller
-queues.  This module turns a coalesced run list into *single-controller*
-batches, interleaved round-robin from a caller-chosen starting
-controller — so N aggregators that pick distinct starting points drive
-all controllers concurrently instead of hammering one.
+Left unscheduled, a file-system request walks the controllers its stripes
+land on, in file order, so the walks of concurrent aggregators collide
+wherever two reach the same controller at once, and one queues behind the
+other.  This module turns a coalesced run list into *single-controller*
+batches (each holds one controller for its whole stream time),
+interleaved round-robin from a caller-chosen starting controller — so N
+aggregators that pick distinct starting points drive all controllers
+concurrently instead of hammering one.
 
 The split is pure layout arithmetic (:class:`~repro.pfs.striping.
 StripeLayout`), fully vectorized: runs are cut at stripe boundaries, each
 piece is owned by ``controller_of`` its stripe, per-controller pieces are
 re-merged where file-contiguous, and size-batched to the collective
-buffer limit.
+buffer limit — for all controllers in one pass.
 """
 
 from __future__ import annotations
@@ -43,34 +43,27 @@ def split_runs_by_stripe(
     empty = np.empty(0, dtype=np.int64)
     if len(offsets) == 0:
         return empty, empty.copy(), empty.copy()
-    ss = layout.stripe_size
-    first = offsets // ss
-    last = (offsets + lengths - 1) // ss
-    npieces = last - first + 1
-    total = int(npieces.sum())
-    run_of = np.repeat(np.arange(len(offsets), dtype=np.int64), npieces)
-    piece_first = np.cumsum(npieces) - npieces
-    within = np.arange(total, dtype=np.int64) - np.repeat(piece_first, npieces)
-    stripe = first[run_of] + within
-    starts = np.maximum(stripe * ss, offsets[run_of])
-    ends = np.minimum((stripe + 1) * ss, (offsets + lengths)[run_of])
+    _, stripe, starts, ends = _cut(offsets, lengths, layout.stripe_size)
     return starts, ends - starts, stripe % layout.n_controllers
 
 
-def _merge_adjacent(
-    offsets: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Re-merge exactly-adjacent pieces (undoes the stripe cut wherever
-    consecutive stripes landed on the same controller)."""
-    if len(offsets) <= 1:
-        return offsets, lengths
-    new = np.empty(len(offsets), dtype=bool)
-    new[0] = True
-    np.not_equal(offsets[1:], offsets[:-1] + lengths[:-1], out=new[1:])
-    starts_idx = np.flatnonzero(new)
-    group_last = np.concatenate((starts_idx[1:], [len(offsets)])) - 1
-    mo = offsets[starts_idx]
-    return mo, offsets[group_last] + lengths[group_last] - mo
+def _cut(
+    starts: np.ndarray, lengths: np.ndarray, size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut positive-length runs at every multiple of ``size``.
+
+    Returns ``(run, unit, lo, hi)`` per piece, in run order: piece
+    ``[lo, hi)`` of run ``run`` lies within ``[unit·size, (unit+1)·size)``.
+    """
+    first = starts // size
+    npieces = (starts + lengths - 1) // size - first + 1
+    run_of = np.repeat(np.arange(len(starts), dtype=np.int64), npieces)
+    piece_first = np.cumsum(npieces) - npieces
+    within = np.arange(len(run_of), dtype=np.int64) - np.repeat(piece_first, npieces)
+    unit = first[run_of] + within
+    lo = np.maximum(unit * size, starts[run_of])
+    hi = np.minimum((unit + 1) * size, (starts + lengths)[run_of])
+    return run_of, unit, lo, hi
 
 
 def size_batches(
@@ -118,24 +111,47 @@ def controller_batches(
     at ``start`` — callers that stagger ``start`` (e.g. by rank) hit
     disjoint controller queues on their first requests and keep every
     controller streaming.
+
+    Each controller's pieces are cut into batches exactly as
+    :func:`size_batches` cuts one run list, and round ``r`` issues every
+    controller's ``r``-th batch; all controllers are handled in one pass.
     """
     poff, plen, pctl = split_runs_by_stripe(layout, offsets, lengths)
-    queues: List[List[Tuple[int, np.ndarray, np.ndarray]]] = []
-    for ctl in range(layout.n_controllers):
-        sel = pctl == ctl
-        if not sel.any():
-            queues.append([])
-            continue
-        co, cl = _merge_adjacent(poff[sel], plen[sel])
-        queues.append(
-            [(ctl, bo, bl) for bo, bl in size_batches(co, cl, max_bytes)]
-        )
-    out: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    depth = max((len(q) for q in queues), default=0)
+    if len(poff) == 0:
+        return []
+    # Group pieces by controller (file order kept within a group), then
+    # re-merge exactly-adjacent pieces: that undoes the stripe cut wherever
+    # consecutive stripes landed on the same controller.
+    order = np.argsort(pctl, kind="stable")
+    so, sl, sc = poff[order], plen[order], pctl[order]
+    new = np.empty(len(so), dtype=bool)
+    new[0] = True
+    new[1:] = (sc[1:] != sc[:-1]) | (so[1:] != so[:-1] + sl[:-1])
+    first = np.flatnonzero(new)
+    mo, ml, mc = so[first], np.add.reduceat(sl, first), sc[first]
+    # Byte position of each merged run within its controller's stream.
+    group = np.empty(len(mc), dtype=bool)
+    group[0] = True
+    np.not_equal(mc[1:], mc[:-1], out=group[1:])
+    rs = np.cumsum(ml) - ml
+    rs -= rs[group][np.cumsum(group) - 1]
+    # Cut those streams at multiples of max_bytes: a piece's unit is its
+    # batch's round.
+    run_of, rnd, lo, hi = _cut(rs, ml, max_bytes)
+    p_off = mo[run_of] + (lo - rs[run_of])
+    p_len = hi - lo
+    # Pieces are sorted by (controller, round): each batch is a slice.
+    ctl = mc[run_of]
+    cut = np.empty(len(ctl), dtype=bool)
+    cut[0] = True
+    cut[1:] = (ctl[1:] != ctl[:-1]) | (rnd[1:] != rnd[:-1])
+    bstart = np.flatnonzero(cut)
+    bend = np.append(bstart[1:], len(ctl))
+    bctl = ctl[bstart]
     n = layout.n_controllers
-    for round_ in range(depth):
-        for c in range(n):
-            q = queues[(start + c) % n]
-            if round_ < len(q):
-                out.append(q[round_])
-    return out
+    issue = np.lexsort(((bctl - start) % n, rnd[bstart]))
+    return [
+        (c, p_off[a:z], p_len[a:z])
+        for c, a, z in zip(bctl[issue].tolist(), bstart[issue].tolist(),
+                           bend[issue].tolist())
+    ]

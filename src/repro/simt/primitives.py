@@ -120,13 +120,22 @@ class Resource:
         """Processes queued for a grant."""
         return len(self._waitq)
 
-    def acquire(self, proc: Process) -> None:
-        """Take one grant, blocking FIFO if none is free."""
+    def claim(self, proc: Process) -> bool:
+        """Take a free grant (True), or queue ``proc`` FIFO (False).
+
+        Does not park: a queued ``proc`` holds the grant once a
+        :meth:`release` resumes it.  Continuation steps use this directly.
+        """
         if self._available > 0:
             self._available -= 1
-            return
+            return True
         self._waitq.append(proc)
-        proc.park(reason=f"resource:{self.name}")
+        return False
+
+    def acquire(self, proc: Process) -> None:
+        """Take one grant, blocking FIFO if none is free."""
+        if not self.claim(proc):
+            proc.park(reason=f"resource:{self.name}")
 
     def release(self) -> None:
         """Return one grant; hands it directly to the next waiter if any."""

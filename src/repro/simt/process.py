@@ -7,6 +7,13 @@ process that parks (or exits) runs the event loop itself, on its own thread,
 then releases the baton of the process resumed next and blocks acquiring its
 own: one lock hand-off per switch, none when its own resume is next.
 
+A process may also wait through a *continuation* (:meth:`Process.park_with`):
+the resumes popped for it then run a ``step`` function inline on the loop
+thread instead of switching to it, until the step reports the wait is over.
+A step behaves like a ``call`` callback: it runs on whichever thread holds
+control, it may schedule events and take or release resources, and it must
+not park.
+
 Because of this invariant, simulation code can freely mutate shared Python
 objects (mailboxes, database tables, file-system state) without locks, and
 runs are fully deterministic: ties in the event queue are broken by insertion
@@ -56,6 +63,7 @@ class Process:
 
     * :meth:`hold` — advance this process's virtual time,
     * :meth:`park` — block until another actor schedules a resume,
+    * :meth:`park_with` — block while a continuation serves the resumes,
     * :attr:`now` — the current virtual time.
 
     Attributes
@@ -90,6 +98,7 @@ class Process:
         self.crash_point: Optional[str] = None
         self.wait_reason: str = "start"
         self._wake_value: Any = None
+        self._step: Optional[Callable[[Any], bool]] = None
         self._baton = threading.Lock()
         self._baton.acquire()
         self._thread = threading.Thread(
@@ -127,6 +136,27 @@ class Process:
         matching engine.
         """
         return self._park(reason=reason)
+
+    def park_with(self, step: Callable[[Any], bool], reason: str) -> Any:
+        """Park until ``step`` reports the wait is over.
+
+        Every resume popped for this process while parked calls
+        ``step(value)`` inline on the loop thread, with the clock at that
+        resume's time, instead of switching to this process.  A step that
+        returns False keeps the process parked (it has scheduled whatever
+        comes next); one that returns True resumes the process at that same
+        pop, and :meth:`park_with` returns the pop's wake value.  A step
+        must not park; an exception it raises ends the run and is re-raised
+        from :meth:`Simulator.run`, as for a ``call`` callback.
+
+        One thread switch then serves a wait of many timed steps — e.g. a
+        file-system request walking several controller queues.
+        """
+        self._step = step
+        try:
+            return self._park(reason)
+        finally:
+            self._step = None
 
     def fault_point(self, name: str) -> None:
         """Announce a registered fault point (e.g. ``"flip:published"``).

@@ -6,7 +6,11 @@ simultaneous events fire in the order they were scheduled, which makes runs
 deterministic.  Two event kinds exist:
 
 * ``resume`` — transfer control to a parked :class:`Process` (optionally
-  passing it a wake value);
+  passing it a wake value).  While the process waits through a
+  continuation (:meth:`~repro.simt.process.Process.park_with`) the resume
+  instead runs its ``step`` inline on the loop thread, exactly like a
+  ``call`` callback (it must not park), and control passes to the process
+  only at the pop whose step reports the wait over;
 * ``call`` — run a plain callback inline.  Callbacks must not park; they
   are used for timed actions that do not belong to any process, such as a
   message arriving in a mailbox.
@@ -114,6 +118,10 @@ class Simulator:
         self._fault_hits: dict = {}
         self._queue: List[Tuple[float, int, int, Any, Any]] = []
         self._seq = 0
+        self.n_handoffs = 0
+        """Real thread switches so far: times the loop released another
+        thread's baton.  A resume a continuation absorbs, or one that
+        finds its own process next, costs none."""
         self._procs: List[Process] = []
         self._live = 0  # live non-daemon processes
         self._until: Optional[float] = None
@@ -247,9 +255,10 @@ class Simulator:
         return self.now
 
     def _next(self) -> Optional[Process]:
-        """Pop events, running callbacks inline, until one resumes a live
-        process; return it with its wake value set.  Returns None when the
-        run must stop (see :meth:`run` for the reasons)."""
+        """Pop events, running callbacks and continuation steps inline,
+        until one resumes a live process; return it with its wake value
+        set.  Returns None when the run must stop (see :meth:`run` for the
+        reasons)."""
         if self._crashed is not None:
             return None
         queue, until = self._queue, self._until
@@ -273,6 +282,14 @@ class Simulator:
                     return None
                 continue
             if payload.alive:
+                step = payload._step
+                if step is not None:
+                    try:
+                        if not step(value):
+                            continue
+                    except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                        self._error = exc
+                        return None
                 payload._wake_value = value
                 return payload
         return None
@@ -284,6 +301,7 @@ class Simulator:
         nxt = None if self._aborting else self._next()
         if nxt is me:
             return
+        self.n_handoffs += 1
         (nxt or self)._baton.release()
         if me is None or me.alive:
             (me or self)._baton.acquire()

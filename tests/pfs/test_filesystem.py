@@ -208,3 +208,63 @@ def test_fs_counters_track_traffic():
     assert fs.bytes_read == 50
     assert fs.n_requests == 2
     assert fs.n_opens == 1
+
+
+# Recorded with the thread-per-visit controller walk that the continuation
+# walk replaced: the service mechanism may change, the timeline may not.
+CONTENTION_GOLDEN = {
+    "finish": [0.032656523344251856, 0.03960321803622778,
+               0.038260683314005554, 0.03556711027357315,
+               0.037026655536227776, 0.04083724581400556],
+    "events": 387,
+    "depths": [4, 2, 3, 2, 2, 3, 2, 2, 3, 3, 3, 0, 1, 1, 1, 0, 0],
+}
+
+
+def test_mixed_request_contention_matches_golden_timeline():
+    """Six ranks issue walked, scheduled, queued and zero-byte requests
+    against one file system while a daemon samples the controller queues
+    between its own walked reads (and is killed mid-walk at the end)."""
+    stripe, nctl = 4096, 4
+    machine = origin2000().with_storage(stripe_size=stripe, n_controllers=nctl)
+    sim = Simulator()
+    fs = FileSystem(sim, machine)
+    depths = []
+
+    def rank(proc, i):
+        h = fs.open(proc, f"g{i % 2}.dat", RDWR, create=True)
+        proc.hold(i * 1e-4)
+        for r in range(3):
+            base = (i * 3 + r) * 5 * stripe
+            # walked: one run across four stripes
+            fs.write(proc, h, [base + 100], [3 * stripe + 7],
+                     np.zeros(3 * stripe + 7, dtype=np.uint8))
+            # scheduled on a chosen controller
+            fs.write(proc, h, [base], [stripe], np.ones(stripe, dtype=np.uint8),
+                     controller=(i + r) % nctl)
+            # walked: consecutive runs share a controller visit
+            offs = base + np.arange(6, dtype=np.int64) * (stripe // 2)
+            fs.read(proc, h, offs, np.full(6, 512, dtype=np.int64))
+            # scheduled, every rank on controller 0: queues
+            fs.read(proc, h, [base], [2 * stripe], controller=0)
+            # no bytes: overhead only
+            fs.read(proc, h, [base], [0])
+        return proc.now
+
+    def sampler(proc):
+        h = fs.open(proc, "d.dat", RDWR, create=True)
+        fs.write(proc, h, [0], [8 * stripe], np.zeros(8 * stripe, dtype=np.uint8))
+        while True:
+            depths.append(fs.queue_depth())
+            fs.read(proc, h, [stripe // 2], [stripe + 9])
+            depths.append(fs.queue_depth())
+            proc.hold(3e-4)
+
+    procs = [sim.spawn(rank, i, name=f"rank{i}") for i in range(6)]
+    d = sim.spawn(sampler, name="sampler", daemon=True)
+    sim.run()
+    assert [p.result for p in procs] == CONTENTION_GOLDEN["finish"]
+    assert sim._seq == CONTENTION_GOLDEN["events"]
+    assert depths == CONTENTION_GOLDEN["depths"]
+    assert not d.alive
+    assert fs.queue_depth() == 0

@@ -440,3 +440,119 @@ def test_raising_callback_surfaces_with_its_own_type():
     with pytest.raises(KeyError):
         sim.run()
     _assert_threads_exited(sim)
+
+
+# ---------------------------------------------------------------------------
+# Continuations (Process.park_with)
+# ---------------------------------------------------------------------------
+
+def _stepper(sim, proc, delays, seen):
+    """A step that plays ``delays`` as consecutive holds, logging each call."""
+    left = list(delays)
+
+    def step(value):
+        seen.append((sim.now, threading.current_thread()))
+        if not left:
+            return True
+        sim.schedule_resume(proc, delay=left.pop(0), value=len(left))
+        return False
+
+    return step
+
+
+def test_park_with_steps_run_inline_without_handoffs():
+    seen = []
+
+    def walker(proc):
+        proc.sim.schedule_resume(proc, delay=1.0)
+        proc.park_with(_stepper(proc.sim, proc, [1.0] * 4, seen), "walk")
+
+    def other(proc):
+        for _ in range(3):
+            proc.hold(1.5)
+
+    def handoffs(main):
+        sim = Simulator()
+        p = sim.spawn(main, name="w")
+        sim.spawn(other, name="o")
+        sim.run()
+        return sim, p
+
+    sim, p = handoffs(walker)
+    assert [t for t, _ in seen] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    # Every step ran on another thread's loop: none switched to the walker.
+    assert all(thr is not p._thread for _, thr in seen)
+    # Five holds switch to the walker five times; the walk costs exactly
+    # what one hold of the same total does.
+    by_threads, _ = handoffs(
+        lambda proc: [proc.hold(1.0) for _ in range(5)])
+    one_hold, _ = handoffs(lambda proc: proc.hold(5.0))
+    assert sim.n_handoffs == one_hold.n_handoffs < by_threads.n_handoffs
+
+
+def test_park_with_done_step_resumes_like_the_equivalent_holds():
+    def by_steps(proc):
+        proc.sim.schedule_resume(proc, delay=1.0)
+        got = proc.park_with(_stepper(proc.sim, proc, [2.5, 0.0], []), "walk")
+        return proc.now, got
+
+    def by_holds(proc):
+        for dt in (1.0, 2.5, 0.0):
+            proc.hold(dt)
+        return proc.now, 0
+
+    runs = []
+    for body in (by_steps, by_holds):
+        sim = Simulator()
+        p = sim.spawn(body)
+        sim.spawn(lambda proc: [proc.hold(0.75) for _ in range(6)])
+        sim.run()
+        runs.append((p.result, sim._seq, sim.now))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (3.5, 0)  # the last pop's time and wake value
+
+
+def test_raising_step_surfaces_with_its_own_type():
+    class StepError(Exception):
+        pass
+
+    def step(value):
+        raise StepError("from step")
+
+    def walker(proc):
+        proc.sim.schedule_resume(proc, delay=0.5)
+        proc.park_with(step, "walk")
+
+    sim = Simulator()
+    sim.spawn(lambda proc: proc.hold(5.0))
+    w = sim.spawn(walker)
+    with pytest.raises(StepError, match="from step"):
+        sim.run()
+    assert not w.alive and w._step is None
+    _assert_threads_exited(sim)
+
+
+def test_daemon_parked_in_a_walk_is_killed_like_a_holding_daemon():
+    def endless_walk(proc):
+        def step(value):
+            proc.sim.schedule_resume(proc, delay=0.7)
+            return False
+
+        step(None)
+        proc.park_with(step, "walk")
+
+    def endless_holds(proc):
+        while True:
+            proc.hold(0.7)
+
+    ends = []
+    for daemon in (endless_walk, endless_holds):
+        sim = Simulator()
+        sim.spawn(lambda proc: proc.hold(5.0))
+        d = sim.spawn(daemon, daemon=True)
+        end = sim.run()
+        assert not d.alive and d.error is None
+        _assert_threads_exited(sim)
+        ends.append((end, sim._seq))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == 5.0
