@@ -14,7 +14,8 @@ export FAULT_SEED
 ## tier-1 verify: static SPMD lint first (cheapest signal), the metadb
 ## subset next, then everything else, then the property harnesses again
 ## under the runtime collective sanitizer, then the crash-recovery tier,
-## then the kernel's virtual-identity guard
+## then the kernel's virtual-identity guard and the data-path kernels'
+## speedup guard
 test: lint test-metadb
 	$(PYTHON) -m pytest -x -q --ignore=tests/metadb \
 	    --ignore=tests/properties/test_metadb_index_property.py \
@@ -23,6 +24,7 @@ test: lint test-metadb
 	$(MAKE) verify-collectives
 	$(MAKE) test-faults
 	$(PYTHON) benchmarks/perfcheck_kernel.py
+	$(PYTHON) benchmarks/perfcheck_runs.py
 
 ## crash tolerance: kernel fault injection, recovery-protocol unit
 ## tests, cross-job crash/restart scenarios, the crash-at-every-point
@@ -98,11 +100,14 @@ bench-policy:
 ## read's submitted run count regresses toward O(elements), or an
 ## adaptive policy falls below ADAPTIVE_WIN_MIN (1.0x) of its best
 ## static setting; also fails if the simulator kernel moves any recorded
-## virtual result (elapsed, phase maxima, events, statements)
+## virtual result (elapsed, phase maxima, events, statements), or if the
+## word-granular run copy or the sort-based position dedup falls below
+## 2x of the byte-wise / np.unique code it replaced
 perfcheck:
 	$(PYTHON) benchmarks/perfcheck_datapath.py BENCH_datapath.json
 	$(PYTHON) benchmarks/perfcheck_policy.py BENCH_policy.json
 	$(PYTHON) benchmarks/perfcheck_kernel.py
+	$(PYTHON) benchmarks/perfcheck_runs.py
 
 ## maintenance ablation (sync vs background reorganize critical path,
 ## cold vs warm chunked-read index cache, compaction file sizes); emits

@@ -23,10 +23,11 @@ either takes the canonical fast path or runs the chunked read pipeline:
    into absolute file byte positions against all chunk maps at once:
    arithmetic chunks (constant-stride maps, ``index_offset ==
    data_offset``) are pure arithmetic, and every *indexed* chunk's block
-   is fetched in **one** batched (cache-aware) request; candidates from
-   all chunks merge in a single stable sort whose last-per-gid survivor
-   reproduces the two-phase overlap rule (highest writing rank wins) —
-   no per-chunk rescan of the wanted array;
+   is fetched in **one** batched (cache-aware) request; the chunks are
+   then walked in ascending writer rank, each writing its hits straight
+   into the result over only the slice of wanted indices its gid range
+   covers, so the last write reproduces the two-phase overlap rule
+   (highest writing rank wins) with no candidate merge or sort;
 2. **coalesce** — the unique positions collapse into maximal contiguous
    byte runs (:func:`repro.mpiio.runs.coalesce_positions`, one
    ``np.diff``), with holes up to the ``coalesce_gap`` MPI-IO hint
@@ -142,6 +143,7 @@ __all__ = [
     "IndexBlockCache",
     "resolve_storage_order",
     "resolve_chunk_positions",
+    "sorted_unique",
     "locate_instance",
     "read_instance",
     "reorganize",
@@ -706,6 +708,19 @@ def read_instance(
     return view.to_user_order(out)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a flat array — ``np.unique`` without its
+    hash path: one ``np.sort`` and an adjacent-difference mask (an order
+    of magnitude faster for thousands of int64 values)."""
+    out = np.sort(np.asarray(values).reshape(-1))
+    if len(out) < 2:
+        return out
+    keep = np.empty(len(out), dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _chunk_index(
     f: File, ch: ChunkRecord, cache: Optional[IndexBlockCache] = None,
     version: int = 0,
@@ -803,13 +818,14 @@ def _chunk_positions(
     """Absolute file byte position of each wanted global index, resolved
     against the chunk maps (-1 where no chunk holds it).
 
-    Arithmetic chunks resolve by pure arithmetic; indexed chunks' blocks
-    arrive via one batched :func:`_chunk_indexes` fetch.  Candidate
-    ``(gid, position)`` pairs from every overlapping chunk are gathered in
-    ascending writer rank and merged with one stable sort whose
-    last-per-gid survivor wins — exactly the two-phase exchange's overlap
-    rule (highest writing rank wins) without a per-chunk rescan of the
-    wanted array.
+    ``wanted`` is ascending (duplicates allowed).  Arithmetic chunks
+    resolve by pure arithmetic; indexed chunks' blocks arrive via one
+    batched :func:`_chunk_indexes` fetch.  The live chunks are walked in
+    ascending writer rank, and each writes its hits straight into the
+    result: a chunk probes only the slice of ``wanted`` between its first
+    and last gid, so the cost is O(wanted) per overlapping chunk with no
+    candidate list to merge, and the last write wins — exactly the
+    two-phase exchange's overlap rule (highest writing rank wins).
     """
     pos = np.full(len(wanted), -1, dtype=np.int64)
     if len(wanted) == 0:
@@ -823,49 +839,27 @@ def _chunk_positions(
     if not live:
         return pos
     blocks = _chunk_indexes(f, live, cache, version, preloaded)
-    cand_gid: List[np.ndarray] = []
-    cand_pos: List[np.ndarray] = []
-    for ch in live:  # ascending rank: later candidates override earlier
-        if ch.index_offset == ch.data_offset:
-            step = max(ch.gid_step, 1)
-            sel = (wanted >= ch.gid_min) & (wanted <= ch.gid_max)
-            if step > 1:
-                sel &= (wanted - ch.gid_min) % step == 0
-            g = wanted[sel]
-            p = ch.data_offset + ((g - ch.gid_min) // step) * esize
+    for ch in live:  # ascending rank: later hits overwrite earlier ones
+        arithmetic = ch.index_offset == ch.data_offset
+        if arithmetic:
+            first, last = ch.gid_min, ch.gid_max
         else:
             cidx = blocks[(ch.index_offset, ch.num_elements)]
-            a = int(np.searchsorted(cidx, lo))
-            b = int(np.searchsorted(cidx, hi, side="right"))
-            if b - a <= len(wanted):
-                # Bulk read: the chunk's in-range slice is the smaller
-                # side — contribute it wholesale.
-                g = cidx[a:b]
-                p = ch.data_offset + np.arange(a, b, dtype=np.int64) * esize
-            else:
-                # Sparse read (catalog viewers): probing wanted into the
-                # block bounds candidates by O(wanted), not O(chunk).
-                j = np.searchsorted(cidx, wanted)
-                inb = j < len(cidx)
-                m = np.zeros(len(wanted), dtype=bool)
-                m[inb] = cidx[j[inb]] == wanted[inb]
-                g = wanted[m]
-                p = ch.data_offset + j[m] * esize
-        cand_gid.append(g)
-        cand_pos.append(p)
-    gid = np.concatenate(cand_gid)
-    gpos = np.concatenate(cand_pos)
-    if len(gid) == 0:
-        return pos
-    order = np.argsort(gid, kind="stable")  # ties keep rank order
-    gid, gpos = gid[order], gpos[order]
-    last = np.r_[gid[1:] != gid[:-1], True]
-    gid, gpos = gid[last], gpos[last]
-    j = np.searchsorted(gid, wanted)
-    inb = j < len(gid)
-    hit = np.zeros(len(wanted), dtype=bool)
-    hit[inb] = gid[j[inb]] == wanted[inb]
-    pos[hit] = gpos[j[hit]]
+            first, last = int(cidx[0]), int(cidx[-1])
+        a = int(np.searchsorted(wanted, first))
+        b = int(np.searchsorted(wanted, last, side="right"))
+        w, slot = wanted[a:b], pos[a:b]
+        if not arithmetic:
+            # The last block entry <= each wanted gid: a hit where equal.
+            j = np.searchsorted(cidx, w, side="right") - 1
+            hit = cidx[j] == w
+            slot[hit] = ch.data_offset + j[hit] * esize
+        elif ch.gid_step <= 1:
+            slot[:] = ch.data_offset + (w - first) * esize
+        else:
+            k, rem = np.divmod(w - first, ch.gid_step)
+            hit = rem == 0
+            slot[hit] = ch.data_offset + k[hit] * esize
     return pos
 
 
@@ -997,7 +991,7 @@ def _assemble_chunked(
     pos = resolve_chunk_positions(comm, f, chunks, dtype, wanted, cache,
                                   version)
     present = pos >= 0
-    upos = np.unique(pos[present])
+    upos = sorted_unique(pos[present])
     gap = runs.resolve_gap_positions(
         f.hints.coalesce_gap, upos, esize,
         waste_fraction=f.hints.coalesce_waste,

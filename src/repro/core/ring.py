@@ -23,6 +23,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.core.datapath import sorted_unique
 from repro.core.growable import GrowableArray
 from repro.errors import PartitionError
 from repro.mpi.job import RankContext
@@ -154,10 +155,7 @@ def ring_partition_index(
     ctx.proc.hold(compute.elements(max(len(edge_map), 1), 2.0))  # sort pass
 
     owned = owned_nodes_of(part_vector, rank)
-    endpoints = np.unique(np.concatenate([le1, le2])) if len(le1) else np.empty(
-        0, dtype=np.int64
-    )
-    node_map = np.union1d(owned, endpoints)
+    node_map = sorted_unique(np.concatenate([owned, le1, le2]))
     return LocalPartition(
         edge_map=edge_map,
         edge1=le1,

@@ -12,11 +12,14 @@ the rest of the I/O stack shares:
   read path uses (element positions, all ``width`` bytes long);
 * :func:`extract_runs` / :func:`gather_elements` — pull the originally
   requested bytes back out of a coalesced read blob (which may contain
-  bridged hole bytes), fully vectorized.
+  bridged hole bytes): each maps its runs to blob positions in O(runs)
+  and hands the copy to :func:`repro.pfs.blockstore.gather_runs`, the
+  I/O stack's one word-granular run-copy kernel.
 
-Every function is O(n) numpy work with no Python-level per-run loop; the
-``owner`` array returned by the coalescers (input run -> coalesced run) is
-what makes the inverse mapping vectorizable.
+Every function is O(n) numpy work (``n`` runs or positions, never bytes)
+with no Python-level per-run loop; the ``owner`` array returned by the
+coalescers (input run -> coalesced run) is what makes the inverse mapping
+vectorizable.
 
 Gap-tolerant merging (``gap > 0``) is only meaningful for *reads* — a
 write must not touch hole bytes.  Zero-gap coalescing of sorted
@@ -38,6 +41,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.pfs.blockstore import gather_runs
 
 __all__ = [
     "ADAPTIVE_GAP",
@@ -224,15 +229,9 @@ def extract_runs(
     included); the result has ``lengths.sum()`` bytes — exactly the bytes
     the caller asked for before coalescing.
     """
-    ln = np.asarray(lengths, dtype=np.int64).reshape(-1)
-    total = int(ln.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.uint8)
     cstart = np.cumsum(clen, dtype=np.int64) - clen
     run_start = cstart[owner] + (np.asarray(offsets, dtype=np.int64) - coff[owner])
-    first = np.cumsum(ln, dtype=np.int64) - ln
-    idx = np.arange(total, dtype=np.int64) + np.repeat(run_start - first, ln)
-    return blob[idx]
+    return gather_runs(blob, run_start, lengths)
 
 
 def gather_elements(
@@ -246,12 +245,11 @@ def gather_elements(
     """Uniform-width special case of :func:`extract_runs`.
 
     Returns the ``len(positions) * width`` requested bytes in position
-    order, pulled out of the coalesced blob with one 2-D fancy index.
+    order: every element is one ``width``-byte run of the blob, copied by
+    :func:`~repro.pfs.blockstore.gather_runs` a word at a time.
     """
     pos = np.asarray(positions, dtype=np.int64).reshape(-1)
-    if len(pos) == 0:
-        return np.empty(0, dtype=np.uint8)
     cstart = np.cumsum(clen, dtype=np.int64) - clen
     elem_start = cstart[owner] + (pos - coff[owner])
-    idx = elem_start[:, None] + np.arange(width, dtype=np.int64)[None, :]
-    return np.ascontiguousarray(blob[idx]).reshape(-1)
+    widths = np.full(len(pos), width, dtype=np.int64)
+    return gather_runs(blob, elem_start, widths)

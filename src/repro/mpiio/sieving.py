@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.mpiio.hints import Hints
 from repro.mpiio.runs import extract_runs
+from repro.pfs.blockstore import scatter_runs
 from repro.pfs.file import PFSHandle
 from repro.pfs.filesystem import FileSystem
 from repro.simt.process import Process
@@ -151,13 +152,7 @@ def independent_write(
             with fs.write_lock(handle.file.name).request(proc):
                 cover = fs.read(proc, handle, [span_start], [span_len])
                 proc.hold(fs.machine.compute.copy_time(grp_bytes))
-                rel = grp_off - span_start
-                first = np.cumsum(grp_len) - grp_len
-                idx = (
-                    np.arange(grp_bytes, dtype=np.int64)
-                    + np.repeat(rel - first, grp_len)
-                )
-                cover[idx] = chunk
+                scatter_runs(cover, grp_off - span_start, grp_len, chunk)
                 fs.write(proc, handle, [span_start], [span_len], cover)
         data_pos += grp_bytes
     return data_pos

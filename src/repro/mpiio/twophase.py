@@ -34,6 +34,7 @@ import numpy as np
 from repro.mpi.communicator import Communicator
 from repro.mpi.ops import MAX, MIN
 from repro.mpiio.hints import Hints
+from repro.pfs.blockstore import gather_runs, scatter_runs
 from repro.pfs.file import PFSHandle
 from repro.pfs.filesystem import FileSystem
 from repro.pfs.scheduler import controller_batches
@@ -114,18 +115,14 @@ def union_runs(offsets: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np
     return uo, ue - uo
 
 
-def _segment_scatter_indices(
-    seg_off: np.ndarray, seg_len: np.ndarray, uo: np.ndarray, ucum: np.ndarray
+def _union_positions(
+    offsets: np.ndarray, uo: np.ndarray, ustart: np.ndarray
 ) -> np.ndarray:
-    """Byte indices (into union space) each segment byte lands at, in
-    concatenation (source-rank) order."""
-    k = np.searchsorted(uo, seg_off, side="right") - 1
-    base = ucum[k] + (seg_off - uo[k])
-    total = int(seg_len.sum())
-    starts = np.repeat(base, seg_len)
-    run_first = np.cumsum(seg_len) - seg_len
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_first, seg_len)
-    return starts + within
+    """Position of each file offset in union space (the aggregator's
+    scratch buffer: the union runs ``uo`` back to back, run ``k`` starting
+    at ``ustart[k]``)."""
+    k = np.searchsorted(uo, offsets, side="right") - 1
+    return ustart[k] + (offsets - uo[k])
 
 
 def _gather_segments(
@@ -205,27 +202,28 @@ def collective_write(
         seg_off, seg_len, seg_data, _counts = _gather_segments(recv)
         if len(seg_off):
             uo, ul = union_runs(seg_off, seg_len)
-            ucum = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(ul, dtype=np.int64))
-            )
+            ustart = np.cumsum(ul, dtype=np.int64) - ul
             scratch = np.zeros(int(ul.sum()), dtype=np.uint8)
-            idx = _segment_scatter_indices(seg_off, seg_len, uo, ucum[:-1])
-            scratch[idx] = seg_data  # src-rank order: highest rank wins overlaps
+            # Src-rank order: the highest rank wins overlapping bytes.
+            scatter_runs(
+                scratch, _union_positions(seg_off, uo, ustart), seg_len,
+                seg_data,
+            )
             proc.hold(fs.machine.compute.copy_time(len(seg_data)))
             # Striping-aware access: single-controller batches, staggered
             # by rank so concurrent aggregators start on disjoint
             # controller queues.  Batches are arbitrary sub-runs of the
-            # union, so each slices its scratch bytes by scatter index
+            # union, so each gathers its scratch bytes by union position
             # instead of a sequential cursor.
             layout = handle.file.layout
             for ctl, b_off, b_len in controller_batches(
                 layout, uo, ul, hints.cb_buffer_size,
                 start=comm.rank % layout.n_controllers,
             ):
-                bidx = _segment_scatter_indices(b_off, b_len, uo, ucum[:-1])
-                fs.write(
-                    proc, handle, b_off, b_len, scratch[bidx], controller=ctl
+                batch = gather_runs(
+                    scratch, _union_positions(b_off, uo, ustart), b_len
                 )
+                fs.write(proc, handle, b_off, b_len, batch, controller=ctl)
     comm.barrier()
     return int(lengths.sum())
 
@@ -264,21 +262,21 @@ def collective_read(
         seg_off, seg_len, _nodata, counts = _gather_segments(recv)
         if len(seg_off):
             uo, ul = union_runs(seg_off, seg_len)
-            ucum = np.concatenate(
-                (np.zeros(1, dtype=np.int64), np.cumsum(ul, dtype=np.int64))
-            )
+            ustart = np.cumsum(ul, dtype=np.int64) - ul
             scratch = np.empty(int(ul.sum()), dtype=np.uint8)
             layout = handle.file.layout
             for ctl, b_off, b_len in controller_batches(
                 layout, uo, ul, hints.cb_buffer_size,
                 start=comm.rank % layout.n_controllers,
             ):
-                bidx = _segment_scatter_indices(b_off, b_len, uo, ucum[:-1])
-                scratch[bidx] = fs.read(
-                    proc, handle, b_off, b_len, controller=ctl
+                scatter_runs(
+                    scratch, _union_positions(b_off, uo, ustart), b_len,
+                    fs.read(proc, handle, b_off, b_len, controller=ctl),
                 )
-            idx = _segment_scatter_indices(seg_off, seg_len, uo, ucum[:-1])
-            gathered = scratch[idx]  # all requested bytes, src-rank order
+            # All requested bytes, src-rank order.
+            gathered = gather_runs(
+                scratch, _union_positions(seg_off, uo, ustart), seg_len
+            )
             proc.hold(fs.machine.compute.copy_time(len(gathered)))
             # Split back per source rank.
             piece_idx = 0

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.pfs.striping import StripeLayout
 
-__all__ = ["split_runs_by_stripe", "size_batches", "controller_batches"]
+__all__ = ["split_runs_by_stripe", "controller_batches"]
 
 
 def split_runs_by_stripe(
@@ -66,37 +66,6 @@ def _cut(
     return run_of, unit, lo, hi
 
 
-def size_batches(
-    offsets: np.ndarray, lengths: np.ndarray, max_bytes: int
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split a run list into requests of at most ``max_bytes`` each.
-
-    Batches are full to capacity: boundaries sit at multiples of
-    ``max_bytes`` in the cumulative byte space of the runs, splitting any
-    run that crosses one.  One cumulative-sum/searchsorted pass — no
-    per-byte walk.
-    """
-    keep = lengths > 0
-    offsets, lengths = offsets[keep], lengths[keep]
-    if len(offsets) == 0:
-        return []
-    cum = np.cumsum(lengths, dtype=np.int64)
-    total = int(cum[-1])
-    run_start = cum - lengths  # byte position (in run space) each run begins
-    cuts = np.arange(max_bytes, total, max_bytes, dtype=np.int64)
-    piece_start = np.union1d(run_start, cuts)
-    piece_len = np.diff(np.concatenate((piece_start, [total])))
-    run_idx = np.searchsorted(cum, piece_start, side="right")
-    piece_off = offsets[run_idx] + (piece_start - run_start[run_idx])
-    splits = np.searchsorted(piece_start, cuts)
-    bounds = np.concatenate(([0], splits, [len(piece_start)]))
-    return [
-        (piece_off[a:b], piece_len[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-
-
 def controller_batches(
     layout: StripeLayout,
     offsets: np.ndarray,
@@ -112,8 +81,9 @@ def controller_batches(
     disjoint controller queues on their first requests and keep every
     controller streaming.
 
-    Each controller's pieces are cut into batches exactly as
-    :func:`size_batches` cuts one run list, and round ``r`` issues every
+    Each controller's pieces form one byte stream, cut into batches at
+    every multiple of ``max_bytes`` (a run crossing a cut is split, so
+    every batch but the last is full), and round ``r`` issues every
     controller's ``r``-th batch; all controllers are handled in one pass.
     """
     poff, plen, pctl = split_runs_by_stripe(layout, offsets, lengths)

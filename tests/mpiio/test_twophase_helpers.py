@@ -10,7 +10,8 @@ from repro.mpiio.twophase import (
     split_runs_by_bounds,
     union_runs,
 )
-from repro.pfs.scheduler import size_batches
+from repro.pfs import StripeLayout
+from repro.pfs.scheduler import controller_batches
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +143,16 @@ def test_union_runs_property(spec):
 
 
 # ---------------------------------------------------------------------------
-# size_batches (repro.pfs.scheduler)
+# Aggregator batch sizing (repro.pfs.scheduler.controller_batches)
 # ---------------------------------------------------------------------------
+
+def size_batches(uo, ul, max_bytes):
+    """The aggregators' batch cut with striping out of the picture: on a
+    single controller, ``controller_batches`` is a pure size cut of the
+    (adjacency-merged) run list."""
+    layout = StripeLayout(stripe_size=64, n_controllers=1)
+    return [(o, l) for _ctl, o, l in controller_batches(layout, uo, ul, max_bytes)]
+
 
 def test_batches_split_large_runs():
     uo = np.array([0], dtype=np.int64)
@@ -196,9 +205,11 @@ def _reference_size_batches(uo, ul, cb_buffer_size):
     st.integers(1, 257),
 )
 def test_vectorized_batches_match_reference_property(spec, cap):
-    """The cumulative-sum split produces the reference walk's batches
-    exactly — offsets, lengths, and batch boundaries — for any run list
-    (zero-length runs included) and any buffer size."""
+    """The one-pass cut produces the reference walk's batches exactly —
+    offsets, lengths, and batch boundaries — for any run list (zero-length
+    runs included) and any buffer size.  The scheduler drops empty runs
+    and merges file-adjacent ones before cutting, so the walk is given
+    the same merged list."""
     offsets, lengths = [], []
     cursor = 0
     for hole, ln in spec:
@@ -209,7 +220,19 @@ def test_vectorized_batches_match_reference_property(spec, cap):
     uo = np.array(offsets, dtype=np.int64)
     ul = np.array(lengths, dtype=np.int64)
     got = size_batches(uo, ul, cap)
-    want = _reference_size_batches(uo, ul, cap)
+    merged_off, merged_len = [], []
+    for o, l in zip(offsets, lengths):
+        if l == 0:
+            continue
+        if merged_off and merged_off[-1] + merged_len[-1] == o:
+            merged_len[-1] += l
+        else:
+            merged_off.append(o)
+            merged_len.append(l)
+    want = _reference_size_batches(
+        np.array(merged_off, dtype=np.int64),
+        np.array(merged_len, dtype=np.int64), cap,
+    )
     assert len(got) == len(want)
     for (go, gl), (wo, wl) in zip(got, want):
         assert go.tolist() == wo.tolist()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pfs import StripeLayout
-from repro.pfs.scheduler import controller_batches, size_batches, split_runs_by_stripe
+from repro.pfs.scheduler import controller_batches, split_runs_by_stripe
 
 
 def _merge_adjacent(offsets, lengths):
@@ -20,6 +20,31 @@ def _merge_adjacent(offsets, lengths):
     group_last = np.concatenate((starts_idx[1:], [len(offsets)])) - 1
     mo = offsets[starts_idx]
     return mo, offsets[group_last] + lengths[group_last] - mo
+
+
+def size_batches(offsets, lengths, max_bytes):
+    """Split one run list into requests of at most ``max_bytes`` each,
+    full to capacity (cuts at multiples of ``max_bytes`` in the runs'
+    cumulative byte space) — the per-controller step of the reference."""
+    keep = lengths > 0
+    offsets, lengths = offsets[keep], lengths[keep]
+    if len(offsets) == 0:
+        return []
+    cum = np.cumsum(lengths, dtype=np.int64)
+    total = int(cum[-1])
+    run_start = cum - lengths
+    cuts = np.arange(max_bytes, total, max_bytes, dtype=np.int64)
+    piece_start = np.union1d(run_start, cuts)
+    piece_len = np.diff(np.concatenate((piece_start, [total])))
+    run_idx = np.searchsorted(cum, piece_start, side="right")
+    piece_off = offsets[run_idx] + (piece_start - run_start[run_idx])
+    splits = np.searchsorted(piece_start, cuts)
+    bounds = np.concatenate(([0], splits, [len(piece_start)]))
+    return [
+        (piece_off[a:b], piece_len[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b > a
+    ]
 
 
 def _reference_controller_batches(layout, offsets, lengths, max_bytes, start=0):
